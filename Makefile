@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test check vet fmt race bench bench-pull bench-catalog chaos crash scrub parity cache catalog partition overload
+.PHONY: all build test check vet fmt race bench bench-pull bench-catalog chaos crash scrub parity cache catalog partition overload perfbench-test
 
 all: build
 
@@ -32,6 +32,14 @@ check: fmt vet build race
 
 bench: bench-pull
 	$(GO) test -bench=. -benchmem ./...
+
+# The end-to-end benchmark's own tests (perfbench is a module of its own,
+# importing this one through a replace directive, so ./... above does not
+# reach it): it still compiles against testbed.SiteOptions, its seeded
+# inputs are deterministic, and a 4 KiB pull still opens 5 connections
+# with 3 GSI handshakes.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # Pull-scheduler benchmark: drains a 16-file pending queue over a
 # latency-shaped WAN link, sequentially and with the 4-worker pool, and

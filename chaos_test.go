@@ -199,15 +199,14 @@ func TestChaosScriptedScheduleAbsorbed(t *testing.T) {
 	})
 	cons2 := consReg.Text()
 	for series, want := range map[string]float64{
-		`gdmp_retry_attempts_total{op="gridftp.get",outcome="error"}`: 2,
-		`gdmp_retry_attempts_total{op="gridftp.get",outcome="ok"}`:    1,
-		`gdmp_retry_ops_total{op="gridftp.get",outcome="ok"}`:         1,
-		`gdmp_retry_backoffs_total{op="gridftp.get"}`:                 2,
-		`gdmp_retry_ops_total{op="core.replicate",outcome="ok"}`:      1,
-		`gdmp_faults_injected_total{kind="dial_refused"}`:             1,
-		`gdmp_faults_injected_total{kind="reset"}`:                    1,
-		`gdmp_site_replications_total{outcome="ok"}`:                  1,
-		`gdmp_site_notifications_received_total`:                      1,
+		`gdmp_retry_attempts_total{op="core.replicate",outcome="error"}`: 2,
+		`gdmp_retry_attempts_total{op="core.replicate",outcome="ok"}`:    1,
+		`gdmp_retry_backoffs_total{op="core.replicate"}`:                 2,
+		`gdmp_retry_ops_total{op="core.replicate",outcome="ok"}`:         1,
+		`gdmp_faults_injected_total{kind="dial_refused"}`:                1,
+		`gdmp_faults_injected_total{kind="reset"}`:                       1,
+		`gdmp_site_replications_total{outcome="ok"}`:                     1,
+		`gdmp_site_notifications_received_total`:                         1,
 	} {
 		if got := metricValue(cons2, series); got != want {
 			t.Errorf("consumer %s = %v, want %v", series, got, want)
@@ -402,8 +401,8 @@ func TestRecoverWithMidTransferFailure(t *testing.T) {
 		t.Errorf("resets = %d, want 1", n)
 	}
 	if got := metricValue(consReg.Text(),
-		`gdmp_retry_attempts_total{op="gridftp.get",outcome="error"}`); got != 1 {
-		t.Errorf("gridftp.get error attempts = %v, want 1", got)
+		`gdmp_retry_attempts_total{op="core.replicate",outcome="error"}`); got != 1 {
+		t.Errorf("core.replicate error attempts = %v, want 1", got)
 	}
 }
 
@@ -482,5 +481,131 @@ func TestProcessPendingRequeuesRemainder(t *testing.T) {
 		if !cons.HasFile(lfn) {
 			t.Fatalf("%s missing after retry", lfn)
 		}
+	}
+}
+
+// counterValue reads one counter series, treating an absent series as 0.
+func counterValue(text, series string) float64 {
+	if v := metricValue(text, series); v > 0 {
+		return v
+	}
+	return 0
+}
+
+// TestChaosAttemptBound pins the pull's attempt amplification: whatever
+// fault kills a pull, the whole pull takes at most N steps (N =
+// TransferAttempts = 3 here) — at most N stage-request connections, at
+// most 2N GridFTP control sessions (one transfer session plus one verify
+// session per step), and at most N core.replicate attempts. Faults that
+// only slow a pull down must cost no retry at all: exactly one step.
+func TestChaosAttemptBound(t *testing.T) {
+	seed := chaosSeed(t)
+	const capN = 3
+	for _, tc := range []struct {
+		name string
+		kind string
+		// Plans for the producer's stage (GDMP) endpoint, its GridFTP
+		// control endpoint, and the passive-mode data connections.
+		stage, ftp, data faults.Plan
+		noSpace          bool // disk fills 16 KiB into every staged write
+		succeed          bool
+	}{
+		{name: "stage dial refused", kind: faults.KindDialRefused, stage: faults.Plan{RefuseDial: true}},
+		{name: "gridftp dial refused", kind: faults.KindDialRefused, ftp: faults.Plan{RefuseDial: true}},
+		{name: "reset", kind: faults.KindReset, data: faults.Plan{ResetAfterBytes: 16 << 10}},
+		{name: "partial write", kind: faults.KindPartialWrite, ftp: faults.Plan{MaxWriteBytes: 64}},
+		{name: "partition", kind: faults.KindPartition, data: faults.Partition(16 << 10)},
+		{name: "enospc", kind: faults.KindNoSpace, noSpace: true},
+		{name: "latency", kind: faults.KindLatency, succeed: true,
+			stage: faults.Plan{Latency: 2 * time.Millisecond},
+			ftp:   faults.Plan{Latency: 2 * time.Millisecond},
+			data:  faults.Plan{Latency: 2 * time.Millisecond}},
+		{name: "dial delay", kind: faults.KindDialDelay, succeed: true,
+			stage: faults.Plan{DialDelay: 20 * time.Millisecond},
+			ftp:   faults.Plan{DialDelay: 20 * time.Millisecond},
+			data:  faults.Plan{DialDelay: 20 * time.Millisecond}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := testbed.NewGrid(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Close()
+			prod, err := g.AddSite("cern.ch", testbed.SiteOptions{Metrics: obs.NewRegistry()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			prodCtl, prodFTP := prod.Addr(), prod.DataAddr()
+			pf := publishData(t, g, prod, "bound/f.db", testbed.MakeData(64<<10, seed))
+
+			var mu sync.Mutex
+			stageConns, ftpSessions := 0, 0
+			consReg := obs.NewRegistry()
+			in := faults.New(seed, func(c faults.ConnInfo) faults.Plan {
+				mu.Lock()
+				defer mu.Unlock()
+				switch c.Addr {
+				case g.CatalogAddr:
+					return faults.Plan{}
+				case prodCtl:
+					stageConns++
+					return tc.stage
+				case prodFTP:
+					ftpSessions++
+					return tc.ftp
+				}
+				return tc.data
+			}, faults.WithMetrics(consReg))
+			opts := testbed.SiteOptions{
+				Metrics:          consReg,
+				Faults:           in,
+				Retry:            fastRetry(capN),
+				TransferAttempts: capN,
+				Parallelism:      1,
+				// The stall watchdog is the only way out of a partition;
+				// healthy steps stay far below it.
+				HedgeDeadline: 200 * time.Millisecond,
+			}
+			if tc.noSpace {
+				opts.StageWriter = in.NoSpaceWriter(16 << 10)
+			}
+			cons, err := g.AddSite("anl.gov", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			err = cons.Get(pf.LFN)
+			text := consReg.Text()
+			okSteps := counterValue(text, `gdmp_retry_attempts_total{op="core.replicate",outcome="ok"}`)
+			errSteps := counterValue(text, `gdmp_retry_attempts_total{op="core.replicate",outcome="error"}`)
+			mu.Lock()
+			defer mu.Unlock()
+			t.Logf("err=%v steps ok=%v error=%v stage conns=%d gridftp sessions=%d",
+				err, okSteps, errSteps, stageConns, ftpSessions)
+			if n := in.Injected(tc.kind); n < 1 {
+				t.Fatalf("fault %q never injected", tc.kind)
+			}
+			if tc.succeed {
+				if err != nil {
+					t.Fatalf("Get under %s: %v", tc.name, err)
+				}
+				if okSteps != 1 || errSteps != 0 {
+					t.Errorf("core.replicate steps ok=%v error=%v, want exactly 1 ok step", okSteps, errSteps)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("Get succeeded under %s injected into every attempt", tc.name)
+			}
+			if stageConns > capN {
+				t.Errorf("stage-request connections = %d, want <= %d", stageConns, capN)
+			}
+			if ftpSessions > 2*capN {
+				t.Errorf("GridFTP control sessions = %d, want <= %d", ftpSessions, 2*capN)
+			}
+			if okSteps+errSteps > capN {
+				t.Errorf("core.replicate attempts = %v, want <= %d", okSteps+errSteps, capN)
+			}
+		})
 	}
 }

@@ -118,10 +118,10 @@ func main() {
 	autoTune := flag.Bool("auto-tune", false, "negotiate TCP buffers per source (RTT x bandwidth)")
 	gridmap := flag.String("gridmap", "", "authorization gridmap (default: allow all)")
 	metricsAddr := flag.String("metrics", "", "serve /metrics over HTTP on this address (empty = off)")
-	retryAttempts := flag.Int("retry-attempts", 3, "attempt cap for retried network operations")
+	retryAttempts := flag.Int("retry-attempts", 3, "attempt cap for retried network operations other than pulls")
 	retryBase := flag.Duration("retry-base", 50*time.Millisecond, "initial backoff between retries")
 	retryMax := flag.Duration("retry-max", 2*time.Second, "backoff ceiling between retries")
-	transferAttempts := flag.Int("transfer-attempts", 3, "restart attempts per file transfer")
+	transferAttempts := flag.Int("transfer-attempts", 3, "attempts of one pull across every source (at least one per replica)")
 	notifyFailures := flag.Int("notify-failures", 3, "consecutive notification failures before a subscriber is suspect")
 	pullWorkers := flag.Int("pull-workers", 4, "concurrent pull replications")
 	perSource := flag.Int("per-source", 0, "max concurrent transfers per source site (0 = unlimited)")

@@ -22,7 +22,7 @@ type TransferRecord struct {
 	Source   string // GridFTP endpoint the replica came from
 	Bytes    int64
 	Elapsed  time.Duration
-	Attempts int
+	Attempts int // the pull's plan step this record reports (1 = first)
 	RateMbps float64
 	When     time.Time
 	Failed   bool

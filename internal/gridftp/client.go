@@ -50,6 +50,11 @@ type TransferStats struct {
 	// pulls report.
 	ResumedBytes   int64
 	DiscardedBytes int64
+
+	// CRC is the end-to-end verified CRC-32 of the landed file, set by
+	// ReliableGetFileOpts on success so callers comparing it against a
+	// catalog checksum need not re-read the file.
+	CRC uint32
 }
 
 // RateMbps returns the achieved rate in megabits per second.
@@ -822,7 +827,7 @@ func (c *Client) GetFile(remotePath, localPath string) (TransferStats, error) {
 		err = cerr
 	}
 	if err == nil {
-		err = c.verifyLocal(remotePath, part)
+		_, err = c.verifyLocal(remotePath, part)
 	}
 	if err != nil {
 		os.Remove(part)
@@ -845,21 +850,22 @@ func syncDir(dir string) {
 	}
 }
 
-// verifyLocal compares the server CRC with a locally computed one.
-func (c *Client) verifyLocal(remotePath, localPath string) error {
+// verifyLocal compares the server CRC with a locally computed one and
+// returns the verified CRC.
+func (c *Client) verifyLocal(remotePath, localPath string) (uint32, error) {
 	want, err := c.Checksum(remotePath)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	got, err := CRC32File(localPath)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if got != want {
 		c.rec.CRCFailure()
-		return fmt.Errorf("%w: local %08x, remote %08x", ErrChecksum, got, want)
+		return 0, fmt.Errorf("%w: local %08x, remote %08x", ErrChecksum, got, want)
 	}
-	return nil
+	return got, nil
 }
 
 // CRC32File computes the IEEE CRC-32 of a local file.
@@ -904,14 +910,16 @@ func transferRetryable(err error) bool {
 // interval. The returned stats aggregate all attempts.
 func ReliableGet(ctx context.Context, connect func(context.Context) (*Client, error), path string, dst io.WriterAt, pol retry.Policy) (TransferStats, error) {
 	var rs RangeSet
-	return reliableGet(ctx, connect, path, dst, &rs, pol)
+	return reliableGet(ctx, connect, path, dst, &rs, pol, nil)
 }
 
 // reliableGet is ReliableGet with a caller-seeded restart map: ranges
 // already in rs are treated as on disk and never re-requested, which is
 // how a resumed download continues from a verified partial file instead
-// of byte 0.
-func reliableGet(ctx context.Context, connect func(context.Context) (*Client, error), path string, dst io.WriterAt, rs *RangeSet, pol retry.Policy) (TransferStats, error) {
+// of byte 0. resume, when non-nil, runs once on the first session that
+// learns the remote size, before any range is requested: it may seed rs,
+// and the transfer then continues on that same session.
+func reliableGet(ctx context.Context, connect func(context.Context) (*Client, error), path string, dst io.WriterAt, rs *RangeSet, pol retry.Policy, resume func(cl *Client, size int64)) (TransferStats, error) {
 	var agg TransferStats
 	var size int64 = -1
 	if pol.Op == "" {
@@ -936,6 +944,10 @@ func reliableGet(ctx context.Context, connect func(context.Context) (*Client, er
 				return err
 			}
 			size = sz
+		}
+		if resume != nil {
+			resume(cl, size)
+			resume = nil
 		}
 		for _, missing := range rs.Missing(size) {
 			cl.mu.Lock()
@@ -966,8 +978,9 @@ func reliableGet(ctx context.Context, connect func(context.Context) (*Client, er
 //     never holds a truncated or unverified file;
 //   - a failed or interrupted transfer leaves the staging file behind,
 //     and a later call resumes from its length after verifying the
-//     prefix CRC against the server (CKSM of [0, len)); a mismatched or
-//     oversized prefix falls back to a full restart from byte 0.
+//     prefix CRC against the server (CKSM of [0, len)) on the session
+//     that then carries the transfer; a mismatched or oversized prefix
+//     falls back to a full restart from byte 0.
 func ReliableGetFile(ctx context.Context, connect func(context.Context) (*Client, error), remotePath, localPath string, pol retry.Policy) (TransferStats, error) {
 	return ReliableGetFileOpts(ctx, connect, remotePath, localPath, pol, GetFileOptions{})
 }
@@ -1012,22 +1025,26 @@ func ReliableGetFileOpts(ctx context.Context, connect func(context.Context) (*Cl
 	}
 	var rs RangeSet
 	var resumed, discarded int64
-	if info, serr := f.Stat(); serr == nil && info.Size() > 0 {
-		resumed, discarded = resumePartial(ctx, connect, remotePath, f, info.Size(), &rs)
-	}
 	dst := io.WriterAt(f)
 	if opt.WrapWriter != nil {
 		dst = opt.WrapWriter(dst)
 	}
+	var pw *progressWriterAt
 	if opt.Progress != nil {
-		pw := &progressWriterAt{dst: dst, fn: opt.Progress}
-		pw.total.Store(resumed)
-		if resumed > 0 {
-			opt.Progress(resumed)
-		}
+		pw = &progressWriterAt{dst: dst, fn: opt.Progress}
 		dst = pw
 	}
-	stats, err := reliableGet(ctx, connect, remotePath, dst, &rs, pol)
+	var resume func(*Client, int64)
+	if info, serr := f.Stat(); serr == nil && info.Size() > 0 {
+		resume = func(cl *Client, size int64) {
+			resumed, discarded = resumePartial(cl, remotePath, size, f, info.Size(), &rs)
+			if pw != nil && resumed > 0 {
+				pw.total.Store(resumed)
+				opt.Progress(resumed)
+			}
+		}
+	}
+	stats, err := reliableGet(ctx, connect, remotePath, dst, &rs, pol, resume)
 	stats.ResumedBytes = resumed
 	stats.DiscardedBytes = discarded
 	if err == nil {
@@ -1054,7 +1071,8 @@ func ReliableGetFileOpts(ctx context.Context, connect func(context.Context) (*Cl
 		return stats, err
 	}
 	defer cl.Close()
-	if err := cl.verifyLocal(remotePath, part); err != nil {
+	stats.CRC, err = cl.verifyLocal(remotePath, part)
+	if err != nil {
 		// The staged bytes failed end-to-end verification; drop them so
 		// the next attempt starts clean instead of resuming corruption.
 		os.Remove(part)
@@ -1067,30 +1085,25 @@ func ReliableGetFileOpts(ctx context.Context, connect func(context.Context) (*Cl
 	return stats, nil
 }
 
-// resumePartial decides whether an existing staging file can seed a
-// resumed download. The prefix is trusted only when the server's range
-// checksum of [0, have) matches the local bytes; any doubt — remote
-// shrank, CKSM unsupported, checksum mismatch, read error — truncates
-// back to a full restart. Because connect targets whatever source the
-// caller is currently using, this is also the cross-source handshake: a
-// prefix downloaded from one replica is re-verified against the new
-// source before a single byte is appended, and a disagreeing source
-// costs the prefix (never the transfer, and never a quarantine — the
-// staging file is simply restarted from zero). Best-effort: a failure
-// here never fails the transfer, it only costs the resume. Returns how
-// many prefix bytes were kept and how many were thrown away.
-func resumePartial(ctx context.Context, connect func(context.Context) (*Client, error), remotePath string, f *os.File, have int64, rs *RangeSet) (resumed, discarded int64) {
+// resumePartial decides, on the transfer's first session, whether an
+// existing staging file of have bytes can seed a resumed download of a
+// size-byte remote file. The prefix is trusted only when the server's
+// range checksum of [0, have) matches the local bytes; any doubt —
+// remote shrank, CKSM unsupported, checksum mismatch, read error —
+// truncates back to a full restart. Because the session belongs to
+// whatever source the caller is currently using, this is also the
+// cross-source handshake: a prefix downloaded from one replica is
+// re-verified against the new source before a single byte is appended,
+// and a disagreeing source costs the prefix (never the transfer, and
+// never a quarantine — the staging file is simply restarted from zero).
+// Best-effort: a failure here never fails the transfer, it only costs
+// the resume. Returns how many prefix bytes were kept and how many were
+// thrown away.
+func resumePartial(cl *Client, remotePath string, size int64, f *os.File, have int64, rs *RangeSet) (resumed, discarded int64) {
 	restart := func() {
 		f.Truncate(0)
 	}
-	cl, err := connect(ctx)
-	if err != nil {
-		restart()
-		return 0, have
-	}
-	defer cl.Close()
-	size, err := cl.Size(remotePath)
-	if err != nil || have > size {
+	if have > size {
 		restart()
 		return 0, have
 	}

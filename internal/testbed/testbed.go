@@ -94,7 +94,7 @@ type SiteOptions struct {
 	// failures mark a subscriber suspect (default 3).
 	NotifyFailureThreshold int
 
-	// TransferAttempts bounds restart attempts per file transfer.
+	// TransferAttempts caps the attempts of one pull across every source.
 	TransferAttempts int
 
 	// PullWorkers bounds the site's concurrent pull replications

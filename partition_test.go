@@ -286,3 +286,95 @@ func TestPartitionHedgedPullsSurvive(t *testing.T) {
 		t.Errorf("status health block missing peers: p1=%v p2=%v", sawP1, sawP2)
 	}
 }
+
+// TestPartitionAllSourcesStalled is the bounded-failure guarantee for the
+// worst partial-WAN case: both replicas black-hole mid-stream. Every step
+// of the pull's plan — including a step a hedge started — runs under the
+// stall watchdog, so the pull must give up within its cap of stall
+// deadlines plus backoffs instead of blocking on a dead read forever.
+func TestPartitionAllSourcesStalled(t *testing.T) {
+	seed := partitionSeed(t)
+	g, err := testbed.NewGrid(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+
+	p1, err := g.AddSite("cern.ch", testbed.SiteOptions{Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := g.AddSite("fnal.gov", testbed.SiteOptions{Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf := publishData(t, g, p1, "stall/f.db", testbed.MakeData(256<<10, seed))
+	if err := p2.Get(pf.LFN); err != nil {
+		t.Fatalf("seed replica to secondary: %v", err)
+	}
+
+	// Control channels run clean; every passive-mode data connection, to
+	// either source, black-holes its reads after 16 KiB.
+	ctl := map[string]bool{g.CatalogAddr: true, p1.Addr(): true, p2.Addr(): true,
+		p1.DataAddr(): true, p2.DataAddr(): true}
+	consReg := obs.NewRegistry()
+	consFaults := faults.New(seed, func(c faults.ConnInfo) faults.Plan {
+		if ctl[c.Addr] {
+			return faults.Plan{}
+		}
+		return faults.Partition(16 << 10)
+	}, faults.WithMetrics(consReg))
+
+	const (
+		stall   = 200 * time.Millisecond
+		steps   = 3 // the default TransferAttempts cap
+		backoff = 10 * time.Millisecond
+	)
+	cons, err := g.AddSite("anl.gov", testbed.SiteOptions{
+		Metrics:       consReg,
+		Faults:        consFaults,
+		Retry:         fastRetry(3),
+		Parallelism:   1,
+		HedgeDeadline: stall,
+		// Pin the scoreboard-derived deadline to the cold-start one, so
+		// every step stalls out after exactly one stall period.
+		Health: health.Config{HedgeMin: stall, HedgeMax: stall, Seed: seed},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Each step stalls for one deadline, a hedge warms the next step up
+	// within it, and one backoff separates steps; the slack absorbs the
+	// handshakes under the race detector.
+	bound := steps*stall + (steps-1)*backoff + 5*time.Second
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() { done <- cons.Get(pf.LFN) }()
+	select {
+	case err = <-done:
+	case <-time.After(bound):
+		t.Fatalf("Get still blocked after %v with every source partitioned", bound)
+	}
+	elapsed := time.Since(start)
+	if err == nil {
+		t.Fatal("Get succeeded with every source black-holed")
+	}
+	t.Logf("pull gave up after %v: %v", elapsed, err)
+
+	text := consReg.Text()
+	for series, want := range map[string]float64{
+		`gdmp_retry_attempts_total{op="core.replicate",outcome="error"}`: steps,
+		`gdmp_retry_ops_total{op="core.replicate",outcome="exhausted"}`:  1,
+		// Steps 1 and 2 each stalled with a step left to prepare; step 3
+		// was the last under the cap, so it was canceled unhedged.
+		`gdmp_xfer_hedge_started_total`: steps - 1,
+	} {
+		if got := metricValue(text, series); got != want {
+			t.Errorf("%s = %v, want %v", series, got, want)
+		}
+	}
+	if got := metricValue(text, `gdmp_faults_injected_total{kind="partition"}`); got != steps {
+		t.Errorf("partitioned data connections = %v, want %d (one per step)", got, steps)
+	}
+}
