@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test check vet fmt race bench bench-pull bench-catalog chaos crash scrub parity cache catalog partition overload perfbench-test
+.PHONY: all build test check vet fmt race bench bench-pull bench-catalog chaos crash scrub parity cache catalog partition overload perfbench-test fuzz
 
 all: build
 
@@ -40,6 +40,15 @@ bench: bench-pull
 # with 3 GSI handshakes.
 perfbench-test:
 	cd perfbench && $(GO) test ./...
+
+# Native Go fuzz targets for the decoders that read bytes from a peer,
+# each run for FUZZTIME from its seed corpus under testdata/fuzz/. Go
+# fuzzes one target per invocation, so each target gets its own line.
+# A crasher lands in testdata/fuzz/<target>/ and replays as a regular
+# test case under `go test`.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseText$$' -fuzztime $(FUZZTIME) ./internal/obs
 
 # Pull-scheduler benchmark: drains a 16-file pending queue over a
 # latency-shaped WAN link, sequentially and with the 4-worker pool, and

@@ -45,6 +45,7 @@ import (
 	"gdmp/internal/core"
 	"gdmp/internal/gridftp"
 	"gdmp/internal/gsi"
+	"gdmp/internal/obs"
 	"gdmp/internal/replica"
 	"gdmp/internal/retry"
 	"gdmp/internal/rpc"
@@ -105,6 +106,14 @@ func run(ctx context.Context, credPath, caPath, rcAddr string, parallel, pullWor
 		}
 		defer cl.Close()
 		return cl.CallContext(ctx, method, enc)
+	}
+	fetchMetrics := func(addr string) (string, error) {
+		d, err := call(addr, core.MethodMetrics, nil)
+		if err != nil {
+			return "", err
+		}
+		text := d.String()
+		return text, d.Finish()
 	}
 
 	switch args[0] {
@@ -182,145 +191,20 @@ func run(ctx context.Context, credPath, caPath, rcAddr string, parallel, pullWor
 		return nil
 
 	case "status":
+		// status <site-ctl-addr>: the site's counters, rendered from the
+		// same metrics dump `gdmp stats` prints.
 		if len(args) != 2 {
 			return fmt.Errorf("usage: status <site-ctl-addr>")
 		}
-		d, err := call(args[1], core.MethodStatus, nil)
+		text, err := fetchMetrics(args[1])
 		if err != nil {
 			return err
 		}
-		name := d.String()
-		files := d.Uint64()
-		subs := d.Uint64()
-		ok := d.Uint64()
-		failed := d.Uint64()
-		bytes := d.Int64()
-		pending := d.Uint64()
-		restored := d.Uint64()
-		requeued := d.Uint64()
-		quarantined := d.Uint64()
-		notices := d.Uint64()
-		journal := d.String()
-		// The pool-cache block trails the payload; an older daemon simply
-		// does not send it, so only decode what is actually there.
-		var poolUsed, poolCap, poolHits, poolMisses, poolEvictions int64
-		if d.Remaining() > 0 {
-			poolUsed = d.Int64()
-			poolCap = d.Int64()
-			poolHits = d.Int64()
-			poolMisses = d.Int64()
-			poolEvictions = d.Int64()
-		}
-		var paritySC, parityRebuilds, parityFallbacks, bytesLocal, bytesRepulled int64
-		if d.Remaining() > 0 {
-			paritySC = d.Int64()
-			parityRebuilds = d.Int64()
-			parityFallbacks = d.Int64()
-			bytesLocal = d.Int64()
-			bytesRepulled = d.Int64()
-		}
-		var digestGen, digestPushes, digestLFNs, rliQueries, rliFPs, locateP99 int64
-		if d.Remaining() > 0 {
-			digestGen = d.Int64()
-			digestPushes = d.Int64()
-			digestLFNs = d.Int64()
-			rliQueries = d.Int64()
-			rliFPs = d.Int64()
-			locateP99 = d.Int64()
-		}
-		// The per-peer health block is the newest trailing generation: a
-		// count word, then one row per peer the site has pulled from or
-		// dialed.
-		type peerRow struct {
-			peer, breaker        string
-			fails, bwKbps, latUs int64
-			transition           int64
-		}
-		var peers []peerRow
-		if d.Remaining() > 0 {
-			n := int(d.Uint64())
-			for i := 0; i < n && d.Remaining() > 0; i++ {
-				peers = append(peers, peerRow{
-					peer: d.String(), breaker: d.String(),
-					fails: d.Int64(), bwKbps: d.Int64(),
-					latUs: d.Int64(), transition: d.Int64(),
-				})
-			}
-		}
-		// The overload-protection block trails the health rows.
-		var brownoutActive bool
-		var loadMilli, admAdmitted, admRejected, admExpired, admShed int64
-		var brownEntered, brownDeferred int64
-		if d.Remaining() > 0 {
-			brownoutActive = d.Uint8() != 0
-			loadMilli = d.Int64()
-			admAdmitted = d.Int64()
-			admRejected = d.Int64()
-			admExpired = d.Int64()
-			admShed = d.Int64()
-			brownEntered = d.Int64()
-			brownDeferred = d.Int64()
-		}
-		if err := d.Finish(); err != nil {
+		ss, err := obs.ParseText(text)
+		if err != nil {
 			return err
 		}
-		fmt.Printf("site %s: %d local files, %d subscribers\n", name, files, subs)
-		fmt.Printf("transfers: %d ok, %d failed, %d bytes replicated, %d pending\n",
-			ok, failed, bytes, pending)
-		if restored+requeued+quarantined+notices > 0 {
-			fmt.Printf("last restart: %d files restored, %d pulls requeued, %d notices requeued, %d quarantined\n",
-				restored, requeued, notices, quarantined)
-		}
-		if journal != "" {
-			fmt.Printf("journal: %s\n", journal)
-		}
-		if poolCap > 0 {
-			rate := 0.0
-			if poolHits+poolMisses > 0 {
-				rate = float64(poolHits) / float64(poolHits+poolMisses)
-			}
-			fmt.Printf("pool: %d/%d bytes, %.1f%% hit rate (%d hits, %d misses), %d evictions\n",
-				poolUsed, poolCap, 100*rate, poolHits, poolMisses, poolEvictions)
-		}
-		if paritySC+parityRebuilds+parityFallbacks+bytesLocal+bytesRepulled > 0 {
-			fmt.Printf("parity: %d sidecars, %d local rebuilds (%d bytes), %d fallbacks, %d bytes re-pulled\n",
-				paritySC, parityRebuilds, bytesLocal, parityFallbacks, bytesRepulled)
-		}
-		if digestGen+digestPushes+rliQueries > 0 {
-			fmt.Printf("rls: digest gen %d (%d LFNs, %d pushes), %d RLI queries (%d false positives), locate p99 %dus\n",
-				digestGen, digestLFNs, digestPushes, rliQueries, rliFPs, locateP99)
-		}
-		if len(peers) > 0 {
-			fmt.Printf("peer health:\n")
-			for _, p := range peers {
-				line := fmt.Sprintf("  %s: breaker %s", p.peer, p.breaker)
-				if p.fails > 0 {
-					line += fmt.Sprintf(", %d consecutive failures", p.fails)
-				}
-				if p.bwKbps > 0 {
-					line += fmt.Sprintf(", %.1f Mbps", float64(p.bwKbps)/1000)
-				}
-				if p.latUs > 0 {
-					line += fmt.Sprintf(", rtt %dus", p.latUs)
-				}
-				if p.transition != 0 {
-					line += ", since " + time.Unix(0, p.transition).Format(time.RFC3339)
-				}
-				fmt.Println(line)
-			}
-		}
-		if admAdmitted+admRejected > 0 || brownoutActive {
-			mode := "normal"
-			if brownoutActive {
-				mode = "brownout"
-			}
-			fmt.Printf("admission: %s (load %.1f%%), %d admitted, %d rejected (%d expired, %d shed)\n",
-				mode, float64(loadMilli)/10, admAdmitted, admRejected, admExpired, admShed)
-			if brownEntered > 0 {
-				fmt.Printf("brownout: entered %d times, %d background work units deferred\n",
-					brownEntered, brownDeferred)
-			}
-		}
+		renderStatus(os.Stdout, args[1], ss)
 		return nil
 
 	case "fsck":
@@ -361,12 +245,8 @@ func run(ctx context.Context, credPath, caPath, rcAddr string, parallel, pullWor
 		if len(args) != 2 {
 			return fmt.Errorf("usage: stats <site-ctl-addr>")
 		}
-		d, err := call(args[1], core.MethodMetrics, nil)
+		text, err := fetchMetrics(args[1])
 		if err != nil {
-			return err
-		}
-		text := d.String()
-		if err := d.Finish(); err != nil {
 			return err
 		}
 		fmt.Print(text)

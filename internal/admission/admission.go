@@ -204,8 +204,9 @@ func (c Counters) settled() uint64 {
 	return c.Admitted + c.Rejected + c.Expired + c.Shed + c.Drained + c.Canceled
 }
 
-// Snapshot is the aggregate overload-protection state, exported on the
-// status wire.
+// Snapshot is the aggregate overload-protection state. The same numbers
+// are exported as the gdmp_admission_* and gdmp_brownout_* series, which
+// is where `gdmp status` reads them.
 type Snapshot struct {
 	BrownoutActive   bool
 	Load             float64 // current load signal in [0,1]
@@ -638,8 +639,8 @@ func (c *Controller) Settled() bool {
 	return true
 }
 
-// Snap returns the aggregate overload-protection state for the status
-// wire.
+// Snap returns the aggregate overload-protection state, refreshing the
+// load signal first.
 func (c *Controller) Snap() Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"gdmp/internal/obs"
 )
 
 // FileState describes where a local file currently is.
@@ -48,13 +50,15 @@ type localCatalog struct {
 	byLFN   map[string]FileInfo
 	byPath  map[string]string        // site-relative path -> LFN
 	waiters map[string]chan struct{} // lfn -> closed when the entry appears
+	files   *obs.Gauge               // gdmp_site_local_files, set under mu
 }
 
-func newLocalCatalog() *localCatalog {
+func newLocalCatalog(files *obs.Gauge) *localCatalog {
 	return &localCatalog{
 		byLFN:   make(map[string]FileInfo),
 		byPath:  make(map[string]string),
 		waiters: make(map[string]chan struct{}),
+		files:   files,
 	}
 }
 
@@ -66,6 +70,7 @@ func (c *localCatalog) put(info FileInfo) {
 	}
 	c.byLFN[info.LFN] = info
 	c.byPath[info.Path] = info.LFN
+	c.files.Set(int64(len(c.byLFN)))
 	if ch, ok := c.waiters[info.LFN]; ok {
 		close(ch)
 		delete(c.waiters, info.LFN)
@@ -106,6 +111,7 @@ func (c *localCatalog) remove(lfn string) {
 		delete(c.byPath, info.Path)
 	}
 	delete(c.byLFN, lfn)
+	c.files.Set(int64(len(c.byLFN)))
 }
 
 // getByPath resolves a site-relative path back to its catalog entry — the
@@ -143,10 +149,4 @@ func (c *localCatalog) list() []FileInfo {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].LFN < out[j].LFN })
 	return out
-}
-
-func (c *localCatalog) len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.byLFN)
 }

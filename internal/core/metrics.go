@@ -19,6 +19,10 @@ const SiteMetricsPrefix = "gdmp_site"
 // Section 4: publication latency, notification fan-out, the pull-queue
 // depth consumers drain, and replication outcomes.
 type siteMetrics struct {
+	info               *obs.GaugeVec // {site}; always 1
+	localFiles         *obs.Gauge
+	transfers          *obs.CounterVec // {outcome}; one per plan step
+	transferredBytes   *obs.Counter
 	publishes          *obs.CounterVec // {outcome}
 	publishTime        *obs.Histogram
 	notifySent         *obs.CounterVec // {outcome}; one increment per delivery attempt
@@ -34,7 +38,15 @@ type siteMetrics struct {
 }
 
 func newSiteMetrics(r *obs.Registry) *siteMetrics {
-	return &siteMetrics{
+	m := &siteMetrics{
+		info: r.GaugeVec(SiteMetricsPrefix+"_info",
+			"Always 1; the site label names the site this registry belongs to.", "site"),
+		localFiles: r.Gauge(SiteMetricsPrefix+"_local_files",
+			"Entries in the site's local file catalog."),
+		transfers: r.CounterVec(SiteMetricsPrefix+"_transfers_total",
+			"Replica transfers (one per pull plan step), by outcome.", "outcome"),
+		transferredBytes: r.Counter(SiteMetricsPrefix+"_transferred_bytes_total",
+			"Bytes landed by successful replica transfers."),
 		publishes: r.CounterVec(SiteMetricsPrefix+"_publishes_total",
 			"Files published to the Grid, by outcome.", "outcome"),
 		publishTime: r.Histogram(SiteMetricsPrefix+"_publish_seconds",
@@ -60,6 +72,11 @@ func newSiteMetrics(r *obs.Registry) *siteMetrics {
 		stageRequests: r.CounterVec(SiteMetricsPrefix+"_stage_requests_total",
 			"Staging requests served for remote consumers, by outcome.", "outcome"),
 	}
+	// Both outcomes exist from the start, so a quiet site reports 0 ok,
+	// 0 failed instead of omitting the series.
+	m.transfers.WithLabelValues("ok")
+	m.transfers.WithLabelValues("error")
+	return m
 }
 
 func outcomeOf(err error) string {
@@ -74,7 +91,7 @@ func outcomeOf(err error) string {
 func (s *Site) Metrics() *obs.Registry { return s.metrics }
 
 // RemoteMetrics fetches another site's metrics dump (Prometheus text
-// format) over the Request Manager.
+// format) over the Request Manager; obs.ParseText reads it.
 func (s *Site) RemoteMetrics(remoteAddr string) (string, error) {
 	cl, err := s.dialGDMP(s.ctx, remoteAddr)
 	if err != nil {

@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 	"testing/quick"
+
+	"gdmp/internal/obs"
 )
 
 func TestPFNRoundTrip(t *testing.T) {
@@ -76,14 +78,16 @@ func itoa(n int) string {
 }
 
 func TestLocalCatalog(t *testing.T) {
-	c := newLocalCatalog()
-	if c.len() != 0 {
+	files := new(obs.Gauge)
+	c := newLocalCatalog(files)
+	if len(c.list()) != 0 {
 		t.Fatal("new catalog not empty")
 	}
 	c.put(FileInfo{LFN: "b", Path: "b", Size: 2, State: StateDisk})
 	c.put(FileInfo{LFN: "a", Path: "a", Size: 1, State: StateDisk})
-	if c.len() != 2 {
-		t.Fatalf("len = %d", c.len())
+	c.put(FileInfo{LFN: "a", Path: "a2", Size: 1, State: StateDisk}) // replaces
+	if files.Value() != 2 {
+		t.Fatalf("local files gauge = %d, want 2", files.Value())
 	}
 	list := c.list()
 	if list[0].LFN != "a" || list[1].LFN != "b" {
@@ -105,5 +109,8 @@ func TestLocalCatalog(t *testing.T) {
 	c.remove("a")
 	if _, ok := c.get("a"); ok {
 		t.Fatal("remove did not remove")
+	}
+	if files.Value() != 1 {
+		t.Fatalf("local files gauge after remove = %d, want 1", files.Value())
 	}
 }

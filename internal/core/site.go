@@ -72,7 +72,7 @@ const (
 // Methods lists the GDMP server's RPC surface.
 var Methods = []string{
 	MethodPing, MethodSubscribe, MethodUnsubscribe,
-	MethodNotify, MethodCatalog, MethodStage, MethodStatus,
+	MethodNotify, MethodCatalog, MethodStage,
 	MethodMetrics, MethodDigest, MethodFsck, MethodHasFile,
 	MethodLRCQuery,
 }
@@ -458,20 +458,22 @@ func NewSite(cfg Config) (*Site, error) {
 		return nil, fmt.Errorf("core: connect replica catalog: %w", err)
 	}
 
+	met := newSiteMetrics(cfg.Metrics)
+	met.info.WithLabelValues(cfg.Name).Set(1)
 	s := &Site{
 		cfg:    cfg,
 		logger: cfg.Logger,
 		rc: &rcService{client: rcClient, dial: func() (*replica.Client, error) {
 			return replica.Dial(cfg.ReplicaCatalog, cfg.Cred, cfg.TrustRoots, dialOpts...)
 		}},
-		local:       newLocalCatalog(),
+		local:       newLocalCatalog(met.localFiles),
 		federation:  cfg.Federation,
 		storage:     cfg.MSS,
 		types:       newTypeRegistry(),
 		subscribers: make(map[string]*subscriberState),
-		xferLog:     newTransferLog(0),
+		xferLog:     &transferLog{met: met},
 		metrics:     cfg.Metrics,
-		met:         newSiteMetrics(cfg.Metrics),
+		met:         met,
 		tunedBuf:    make(map[string]int),
 		paritySC:    make(map[string]string),
 	}
@@ -1474,7 +1476,6 @@ func (s *Site) registerHandlers() {
 	})
 	s.registerScrubHandlers()
 	s.registerRLSHandlers()
-	s.registerStatusHandler()
 	s.registerMetricsHandler()
 }
 

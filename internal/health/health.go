@@ -56,7 +56,8 @@ const (
 	StateOpen
 )
 
-// String returns the metric/status-wire label for a state.
+// String returns the metric label for a state (the `to` label of
+// gdmp_health_transitions_total).
 func (s State) String() string {
 	switch s {
 	case StateClosed:
@@ -149,6 +150,7 @@ func (c Config) withDefaults() Config {
 // metrics bundles the scoreboard's collectors.
 type metrics struct {
 	state       *obs.GaugeVec   // {peer}: 0 closed, 1 half-open, 2 open
+	since       *obs.GaugeVec   // {peer}: Unix seconds of the last state change
 	transitions *obs.CounterVec // {peer, to}
 	consecFails *obs.GaugeVec   // {peer}
 	bandwidth   *obs.GaugeVec   // {peer}: EWMA bandwidth, Kbit/s
@@ -163,6 +165,8 @@ func metricsFor(r *obs.Registry) *metrics {
 	return &metrics{
 		state: r.GaugeVec(MetricsPrefix+"_state",
 			"Circuit-breaker state by peer: 0 closed, 1 half-open, 2 open.", "peer"),
+		since: r.GaugeVec(MetricsPrefix+"_last_transition_seconds",
+			"Unix time of the peer's last breaker state change (first sight counts).", "peer"),
 		transitions: r.CounterVec(MetricsPrefix+"_transitions_total",
 			"Circuit-breaker transitions, by peer and target state.", "peer", "to"),
 		consecFails: r.GaugeVec(MetricsPrefix+"_consecutive_failures",
@@ -248,6 +252,7 @@ func (b *Board) peerLocked(addr string) *peer {
 		p = &peer{addr: addr, lastTransition: b.cfg.Now()}
 		b.peers[addr] = p
 		b.met.state.WithLabelValues(addr).Set(0)
+		b.met.since.WithLabelValues(addr).Set(p.lastTransition.Unix())
 	}
 	return p
 }
@@ -260,6 +265,7 @@ func (b *Board) transitionLocked(p *peer, to State) {
 	p.state = to
 	p.lastTransition = b.cfg.Now()
 	b.met.state.WithLabelValues(p.addr).Set(int64(to))
+	b.met.since.WithLabelValues(p.addr).Set(p.lastTransition.Unix())
 	b.met.transitions.WithLabelValues(p.addr, to.String()).Inc()
 }
 
@@ -593,8 +599,8 @@ func (b *Board) ConsecutiveFailures(addr string) int {
 	return 0
 }
 
-// PeerHealth is one peer's scoreboard snapshot, as surfaced on the
-// status wire.
+// PeerHealth is one peer's scoreboard snapshot; the same values are
+// exported per peer as the gdmp_health_* gauges `gdmp status` renders.
 type PeerHealth struct {
 	Peer          string
 	State         string
@@ -613,15 +619,12 @@ func (b *Board) Snapshot() []PeerHealth {
 	out := make([]PeerHealth, 0, len(b.peers))
 	for _, p := range b.peers {
 		out = append(out, PeerHealth{
-			Peer:          p.addr,
-			State:         p.state.String(),
-			ConsecFails:   int64(p.consecFails),
-			BandwidthKbps: int64(p.bw * 8 / 1000),
-			LatencyMicros: int64(p.latMean * 1e6),
-			// Round(0) strips the monotonic reading: the snapshot crosses
-			// the status wire as wall-clock nanoseconds, and a local copy
-			// must compare equal to its own round trip.
-			LastTransition: p.lastTransition.Round(0),
+			Peer:           p.addr,
+			State:          p.state.String(),
+			ConsecFails:    int64(p.consecFails),
+			BandwidthKbps:  int64(p.bw * 8 / 1000),
+			LatencyMicros:  int64(p.latMean * 1e6),
+			LastTransition: p.lastTransition,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })

@@ -395,6 +395,10 @@ func TestHealthMetricsGolden(t *testing.T) {
 		`# HELP gdmp_health_ewma_latency_micros EWMA dial latency observed against a peer, microseconds.`,
 		`# TYPE gdmp_health_ewma_latency_micros gauge`,
 		`gdmp_health_ewma_latency_micros{peer="site-a"} 5000`,
+		`# HELP gdmp_health_last_transition_seconds Unix time of the peer's last breaker state change (first sight counts).`,
+		`# TYPE gdmp_health_last_transition_seconds gauge`,
+		`gdmp_health_last_transition_seconds{peer="site-a"} 1700000000`, // first sight
+		`gdmp_health_last_transition_seconds{peer="site-b"} 1700000001`, // the probe's close
 		`# HELP gdmp_health_overloads_total Typed overload rejections recorded against a peer.`,
 		`# TYPE gdmp_health_overloads_total counter`,
 		`# HELP gdmp_health_probes_total Reopen probe legs admitted through an open breaker, by outcome.`,

@@ -154,6 +154,45 @@ func (h *Histogram) Snapshot() (bounds []float64, counts []int64) {
 	return bounds, counts
 }
 
+// Quantile estimates the q-quantile (0 < q <= 1) of the observed
+// distribution from the bucket counts; see bucketQuantile.
+func (h *Histogram) Quantile(q float64) float64 {
+	bounds, counts := h.Snapshot()
+	return bucketQuantile(bounds, counts, q)
+}
+
+// bucketQuantile estimates the q-quantile (0 < q <= 1) of a histogram
+// given as ascending bucket upper bounds and per-bucket (non-cumulative)
+// counts, interpolating linearly inside the bucket the rank falls in. An
+// estimate landing in the +Inf bucket reports the highest finite bound
+// (the histogram cannot resolve beyond it), and an empty histogram
+// reports 0. Histogram.Quantile and Samples.Quantile both answer through
+// it, so a parsed dump reports the same estimate as the live collector.
+func bucketQuantile(bounds []float64, counts []int64, q float64) float64 {
+	var total int64
+	for _, c := range counts {
+		total += c
+	}
+	if total == 0 {
+		return 0
+	}
+	q = math.Max(0, math.Min(q, 1))
+	rank := q * float64(total)
+	cum, lower := 0.0, 0.0
+	for i, upper := range bounds {
+		if math.IsInf(upper, 1) {
+			break
+		}
+		c := float64(counts[i])
+		if c > 0 && cum+c >= rank {
+			return lower + (upper-lower)*(rank-cum)/c
+		}
+		cum += c
+		lower = upper
+	}
+	return lower
+}
+
 // --- labeled vectors -------------------------------------------------------
 
 const labelSep = "\xff"

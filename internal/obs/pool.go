@@ -1,9 +1,6 @@
 // Disk-pool cache instrumentation: the gdmp_pool_* family every MSS-backed
-// site exports, and the quantile estimator `gdmp status` and the cache-soak
-// harness use to report p50/p99 stage latency from histogram buckets.
+// site exports.
 package obs
-
-import "math"
 
 // PoolStageBuckets are the stage-latency bounds, from half a millisecond
 // (pool hit verified on disk) to ~16s (tape mount plus drain, or a slow
@@ -42,36 +39,4 @@ func NewPoolMetrics(r *Registry) *PoolMetrics {
 		Prefetches:   r.Counter("gdmp_pool_prefetches_total", "Collection members staged or pulled ahead of demand."),
 		StageSeconds: r.Histogram("gdmp_pool_stage_seconds", "Latency of bringing a file into the disk pool (tape stage or WAN pull).", PoolStageBuckets),
 	}
-}
-
-// Quantile estimates the q-quantile (0 < q <= 1) of the observed
-// distribution from the bucket counts, interpolating linearly inside the
-// bucket the rank falls in. An estimate landing in the +Inf bucket
-// reports the highest finite bound (the histogram cannot resolve beyond
-// it), and an empty histogram reports 0.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	cum, lower := 0.0, 0.0
-	for i, upper := range h.bounds {
-		c := float64(h.counts[i].Load())
-		if c > 0 && cum+c >= rank {
-			return lower + (upper-lower)*(rank-cum)/c
-		}
-		cum += c
-		lower = upper
-	}
-	if math.IsInf(lower, 1) || len(h.bounds) == 0 {
-		return 0
-	}
-	return lower
 }

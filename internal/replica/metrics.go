@@ -76,8 +76,9 @@ func (c *Catalog) OpCount(op, outcome string) int64 {
 // rlsCatalogMetrics instruments the shard engine: per-shard lookup and
 // update counters (the counters are resolved once at construction so the
 // hot path is a single atomic add, no label-map lookup) plus a
-// lookup-latency histogram whose Quantile backs the p99 surfaced in
-// gdmp status.
+// lookup-latency histogram whose Quantile backs LookupQuantile. (The
+// locate p99 `gdmp status` prints comes from the site-side
+// gdmp_rls_locate_seconds histogram instead.)
 type rlsCatalogMetrics struct {
 	shardLookups []*obs.Counter
 	shardUpdates []*obs.Counter

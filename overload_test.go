@@ -289,31 +289,44 @@ func TestOverloadBrownoutShedsBackgroundAndRecovers(t *testing.T) {
 		}(i, cred)
 	}
 
-	waitUntil(t, 10*time.Second, "brownout entry", func() bool { return site.Status().BrownoutActive })
+	browned := func() bool { return reg.Gauge("gdmp_brownout_active", "").Value() == 1 }
+	sum := func(name string) float64 {
+		ss, err := obs.ParseText(reg.Text())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ss.Sum(name)
+	}
+	deferred := func() float64 { return sum("gdmp_brownout_deferred_total") }
+	waitUntil(t, 10*time.Second, "brownout entry", browned)
+	// A pass admitted just before the entry may still be running. The
+	// daemon runs passes one after another, so once a scrub tick has been
+	// deferred none is in flight, and the count must hold from here on.
+	scrubDeferred := func() float64 { return metricValue(reg.Text(), `gdmp_brownout_deferred_total{work="scrub"}`) }
+	waitUntil(t, 10*time.Second, "first deferred scrub tick", func() bool { return scrubDeferred() > 0 })
 	passesDuring := scrubPasses()
-	deferredBefore := site.Status().BrownoutDeferred
+	deferredBefore := deferred()
 	time.Sleep(300 * time.Millisecond) // several scrub intervals under brownout
 	if got := scrubPasses(); got != passesDuring {
 		t.Errorf("scrub passes advanced %d -> %d during brownout, want deferred", passesDuring, got)
 	}
-	st := site.Status()
-	if !st.BrownoutActive {
+	if !browned() {
 		t.Error("brownout lifted while the storm was still running")
 	}
-	if st.BrownoutDeferred <= deferredBefore {
-		t.Errorf("brownout deferred count did not advance (%d -> %d)", deferredBefore, st.BrownoutDeferred)
+	if got := deferred(); got <= deferredBefore {
+		t.Errorf("brownout deferred count did not advance (%v -> %v)", deferredBefore, got)
 	}
-	if st.AdmissionRejected == 0 {
+	if sum("gdmp_admission_rejected_total") == 0 {
 		t.Error("storm produced zero admission rejections")
 	}
 
 	close(stop)
 	wg.Wait()
-	waitUntil(t, 10*time.Second, "brownout exit", func() bool { return !site.Status().BrownoutActive })
+	waitUntil(t, 10*time.Second, "brownout exit", func() bool { return !browned() })
 	passesAfter := scrubPasses()
 	waitUntil(t, 5*time.Second, "scrub passes resume", func() bool { return scrubPasses() > passesAfter })
-	if st := site.Status(); st.BrownoutEntered < 1 {
-		t.Errorf("BrownoutEntered = %d, want >= 1", st.BrownoutEntered)
+	if got := reg.Counter("gdmp_brownout_entered_total", "").Value(); got < 1 {
+		t.Errorf("brownout entered %d times, want >= 1", got)
 	}
 }
 
@@ -484,12 +497,11 @@ func TestOverloadNoSpaceReleasesReservation(t *testing.T) {
 	if got := consReg.Gauge("gdmp_pool_reserved_bytes", "").Value(); got != 0 {
 		t.Errorf("pool reservation leaked: %d bytes still reserved", got)
 	}
-	st := cons.Status()
-	if st.PoolUsed != 0 {
-		t.Errorf("pool used = %d bytes after a failed pull, want 0", st.PoolUsed)
+	if got := consReg.Gauge("gdmp_pool_occupancy_bytes", "").Value(); got != 0 {
+		t.Errorf("pool used = %d bytes after a failed pull, want 0", got)
 	}
-	if st.QuarantinedFiles != 0 {
-		t.Errorf("quarantined %d files after an ENOSPC pull failure, want 0", st.QuarantinedFiles)
+	if got := consReg.Gauge("gdmp_recovery_quarantined", "").Value(); got != 0 {
+		t.Errorf("quarantined %d files after an ENOSPC pull failure, want 0", got)
 	}
 	var orphans []string
 	err = filepath.WalkDir(cons.DataDir(), func(path string, d fs.DirEntry, err error) error {

@@ -264,26 +264,23 @@ func TestPartitionHedgedPullsSurvive(t *testing.T) {
 		}
 	}
 
-	// The scoreboard crosses the status wire: the healed primary shows a
-	// closed breaker, and the secondary shows the bandwidth EWMA that
-	// made it the ranked hedge target.
-	var sawP1, sawP2 bool
-	for _, ph := range cons.Status().HealthPeers {
-		switch ph.Peer {
-		case p1FTP:
-			sawP1 = true
-			if ph.Breaker != "closed" || ph.ConsecFails != 0 || ph.LastTransition.IsZero() {
-				t.Errorf("primary status row = %+v, want closed/0 fails/transition stamped", ph)
-			}
-		case p2FTP:
-			sawP2 = true
-			if ph.Breaker != "closed" || ph.BandwidthKbps <= 0 {
-				t.Errorf("secondary status row = %+v, want closed with bandwidth", ph)
-			}
+	// The scoreboard rows `gdmp status` renders: the healed primary shows
+	// a closed breaker with its transition stamped, and the secondary
+	// shows the bandwidth EWMA that made it the ranked hedge target.
+	text = consReg.Text()
+	for _, c := range []struct {
+		series string
+		ok     func(float64) bool
+	}{
+		{fmt.Sprintf(`gdmp_health_state{peer=%q}`, p1FTP), func(v float64) bool { return v == 0 }},
+		{fmt.Sprintf(`gdmp_health_consecutive_failures{peer=%q}`, p1FTP), func(v float64) bool { return v == 0 }},
+		{fmt.Sprintf(`gdmp_health_last_transition_seconds{peer=%q}`, p1FTP), func(v float64) bool { return v > 0 }},
+		{fmt.Sprintf(`gdmp_health_state{peer=%q}`, p2FTP), func(v float64) bool { return v == 0 }},
+		{fmt.Sprintf(`gdmp_health_ewma_bandwidth_kbps{peer=%q}`, p2FTP), func(v float64) bool { return v > 0 }},
+	} {
+		if got := metricValue(text, c.series); !c.ok(got) {
+			t.Errorf("%s = %v", c.series, got)
 		}
-	}
-	if !sawP1 || !sawP2 {
-		t.Errorf("status health block missing peers: p1=%v p2=%v", sawP1, sawP2)
 	}
 }
 

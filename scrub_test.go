@@ -170,8 +170,8 @@ func TestSelfHealScrubAndAntiEntropy(t *testing.T) {
 		t.Fatalf("producer anti-entropy after healing = %+v, want all clear", aeProd)
 	}
 
-	if st := cons.Status(); st.Journal != "ok" {
-		t.Fatalf("consumer journal health = %q, want ok", st.Journal)
+	if got := metricValue(consReg.Text(), "gdmp_journal_failed"); got != 0 {
+		t.Fatalf("consumer gdmp_journal_failed = %v, want 0 (journal open and healthy)", got)
 	}
 
 	// Exact accounting: every finding counted once, nothing else.

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"gdmp/internal/core"
+	"gdmp/internal/obs"
 	"gdmp/internal/testbed"
 )
 
@@ -40,6 +41,7 @@ func TestProductionSoak(t *testing.T) {
 		consumers[i], err = g.AddSite(fmt.Sprintf("site%d.org", i), testbed.SiteOptions{
 			AutoReplicate: true,
 			Parallelism:   2,
+			Metrics:       obs.NewRegistry(), // transfer totals are read per site
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -122,12 +124,12 @@ func TestProductionSoak(t *testing.T) {
 		t.Fatalf("collection has %d members, %v", len(members), err)
 	}
 	for _, c := range consumers {
-		st := c.Status()
-		if st.TransfersFailed != 0 {
-			t.Fatalf("%s: %d failed transfers", c.Name(), st.TransfersFailed)
+		text := c.Metrics().Text()
+		if failed := metricValue(text, `gdmp_site_transfers_total{outcome="error"}`); failed != 0 {
+			t.Fatalf("%s: %v failed transfers", c.Name(), failed)
 		}
-		if st.TransfersOK != len(all) {
-			t.Fatalf("%s: %d ok transfers, want %d", c.Name(), st.TransfersOK, len(all))
+		if ok := metricValue(text, `gdmp_site_transfers_total{outcome="ok"}`); ok != float64(len(all)) {
+			t.Fatalf("%s: %v ok transfers, want %d", c.Name(), ok, len(all))
 		}
 	}
 
